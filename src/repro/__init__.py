@@ -13,10 +13,11 @@ Typical entry points:
   any registered system with composed scenarios and dotted-key overrides.
 * :class:`repro.core.config.ProtocolConfig` — configure a deployment.
 * :mod:`repro.bench.experiments` — regenerate the paper's figures.
-
-(`ServerlessBFTSimulation` and the baseline builders remain importable but
-are deprecated as *direct* entry points — construct deployments through
-``repro.api`` instead.)
+* :mod:`repro.obs` — the flight recorder: one ``ObsContext`` handle per
+  component records milestones and commit-path spans of a traced run.
+* :class:`repro.core.runner.ServerlessBFTSimulation` and the baseline
+  builders — the deployment classes the registry builds, for callers that
+  already hold config objects.
 """
 
 from repro.core.config import ProtocolConfig

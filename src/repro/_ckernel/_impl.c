@@ -3,8 +3,8 @@
  *
  *   1. execute_batch      — deterministic batch execution over the
  *                           Operation/VersionedValue namedtuple layout with
- *                           single-pass canonical-chunk accumulation and an
- *                           in-C SHA-256, byte-identical to the Python loop;
+ *                           single-pass canonical-chunk accumulation and a
+ *                           hashlib SHA-256, byte-identical to the Python loop;
  *   2. generate_transactions — YCSB transaction generation, drawing through
  *                           the *same* random.Random.getrandbits rejection
  *                           loop as sim/rng.bounded_int_fn so the draw
@@ -28,9 +28,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#include "sha256.h"
-
-#define CKERNEL_BUILD_TAG "repro-ckernel-1"
+#define CKERNEL_BUILD_TAG "repro-ckernel-2"
 
 /* ------------------------------------------------------------------ state */
 
@@ -41,10 +39,8 @@ static PyObject *g_operation_type = NULL;    /* workload.transactions.Operation 
 static PyObject *g_transaction_type = NULL;  /* workload.transactions.Transaction */
 static PyObject *g_txn_result_type = NULL;   /* workload.transactions.TransactionResult */
 static PyObject *g_canonical_fallback = NULL; /* hashing's JSON canonicaliser */
-static PyObject *g_sha256_factory = NULL;    /* hashlib.sha256 — when bound, all
-    digests route through it (CPython's SHA-256 ships vendor-optimised
-    assembly the portable sha256.c cannot match); sha256.c remains the
-    self-contained fallback and the parity hook's subject */
+static PyObject *g_sha256_factory = NULL;    /* hashlib.sha256: every digest
+    routes through it (CPython's SHA-256 ships vendor-optimised assembly) */
 static PyObject *g_digest_attr = NULL;       /* "_repro_cached_digest" */
 
 static PyObject *g_empty_tuple = NULL;
@@ -246,50 +242,40 @@ buf_append_long(buf_t *buf, long value)
     return buf_append(buf, digits, (Py_ssize_t)written);
 }
 
-/* Hex SHA-256 of a bytes object (== hashlib hexdigest output).  Prefers
- * the configured hashlib factory; the in-tree sha256.c is the fallback. */
+/* Hex SHA-256 of a bytes object through the configured hashlib factory
+ * (== hashlib hexdigest output). */
 static PyObject *
 bytes_sha256_hex(PyObject *payload)
 {
-    if (g_sha256_factory != NULL) {
-        PyObject *hasher = PyObject_CallOneArg(g_sha256_factory, payload);
-        PyObject *hex;
+    PyObject *hasher;
+    PyObject *hex;
 
-        if (hasher == NULL) {
-            return NULL;
-        }
-        hex = PyObject_CallMethodNoArgs(hasher, s_hexdigest);
-        Py_DECREF(hasher);
-        return hex;
+    if (g_sha256_factory == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "configure_sha256() was not called");
+        return NULL;
     }
-    {
-        char hex[65];
-        repro_sha256_hex((const uint8_t *)PyBytes_AS_STRING(payload),
-                         (size_t)PyBytes_GET_SIZE(payload), hex);
-        return PyUnicode_FromStringAndSize(hex, 64);
+    hasher = PyObject_CallOneArg(g_sha256_factory, payload);
+    if (hasher == NULL) {
+        return NULL;
     }
+    hex = PyObject_CallMethodNoArgs(hasher, s_hexdigest);
+    Py_DECREF(hasher);
+    return hex;
 }
 
 /* Hex SHA-256 of the buffer as a new str (== hashlib hexdigest output). */
 static PyObject *
 buf_sha256_hex(const buf_t *buf)
 {
-    if (g_sha256_factory != NULL) {
-        PyObject *payload = PyBytes_FromStringAndSize(buf->data, buf->len);
-        PyObject *hex;
+    PyObject *payload = PyBytes_FromStringAndSize(buf->data, buf->len);
+    PyObject *hex;
 
-        if (payload == NULL) {
-            return NULL;
-        }
-        hex = bytes_sha256_hex(payload);
-        Py_DECREF(payload);
-        return hex;
+    if (payload == NULL) {
+        return NULL;
     }
-    {
-        char hex[65];
-        repro_sha256_hex((const uint8_t *)buf->data, (size_t)buf->len, hex);
-        return PyUnicode_FromStringAndSize(hex, 64);
-    }
+    hex = bytes_sha256_hex(payload);
+    Py_DECREF(payload);
+    return hex;
 }
 
 /* ------------------------------------------------- floor 3: canonical/digest */
@@ -431,31 +417,6 @@ ck_cached_digest(PyObject *self, PyObject *value)
         }
     }
     return computed;
-}
-
-static PyObject *
-ck_sha256_hex(PyObject *self, PyObject *value)
-{
-    char hex[65];
-
-    (void)self;
-    if (PyBytes_Check(value)) {
-        repro_sha256_hex((const uint8_t *)PyBytes_AS_STRING(value),
-                         (size_t)PyBytes_GET_SIZE(value), hex);
-    }
-    else if (PyUnicode_Check(value)) {
-        Py_ssize_t size;
-        const char *utf8 = PyUnicode_AsUTF8AndSize(value, &size);
-        if (utf8 == NULL) {
-            return NULL;
-        }
-        repro_sha256_hex((const uint8_t *)utf8, (size_t)size, hex);
-    }
-    else {
-        PyErr_SetString(PyExc_TypeError, "sha256_hex expects bytes or str");
-        return NULL;
-    }
-    return PyUnicode_FromStringAndSize(hex, 64);
 }
 
 /* ------------------------------------------------ floor 1: execute_batch */
@@ -1431,8 +1392,6 @@ static PyMethodDef ckernel_methods[] = {
      "Hex SHA-256 of canonical_bytes(value)."},
     {"cached_digest", ck_cached_digest, METH_O,
      "digest(value), memoised on the instance via the digest memo attribute."},
-    {"sha256_hex", ck_sha256_hex, METH_O,
-     "Hex SHA-256 of bytes (or UTF-8 of str) — parity hook for tests."},
     {NULL, NULL, 0, NULL},
 };
 

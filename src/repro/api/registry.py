@@ -159,14 +159,9 @@ class SystemAdapter:
             kwargs["consensus_engine"] = consensus_engine
         if CAP_EXECUTION_THREADS in self.capabilities:
             kwargs["execution_threads"] = execution_threads
-        # Facade-internal construction: the legacy-entry-point deprecation
-        # warning must not fire for deployments built through the registry.
-        from repro.core.runner import _entry_point_sanction
-
-        with _entry_point_sanction():
-            return self.builder(
-                config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
-            )
+        return self.builder(
+            config, workload=workload, tracer_enabled=tracer_enabled, **kwargs
+        )
 
 
 # ------------------------------------------------------------------ registry

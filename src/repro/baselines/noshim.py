@@ -16,11 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.runner import (
-    ServerlessBFTSimulation,
-    _entry_point_sanction,
-    _warn_legacy_entry_point,
-)
+from repro.core.runner import ServerlessBFTSimulation
 from repro.workload.ycsb import YCSBConfig
 
 
@@ -33,16 +29,8 @@ def build_noshim_simulation(
 
     The returned simulation keeps every parameter of ``config`` except the
     shim size, which collapses to a single node.
-
-    Deprecated as a direct entry point: prefer
-    ``repro.api.run(RunSpec(system="noshim", ...))``.
     """
-    _warn_legacy_entry_point("build_noshim_simulation")
     noshim_config = config.with_overrides(shim_nodes=1, txn_ingest_cost=15e-6)
-    with _entry_point_sanction():
-        return ServerlessBFTSimulation(
-            noshim_config,
-            workload=workload,
-            consensus_engine="pbft",
-            **runner_kwargs,
-        )
+    return ServerlessBFTSimulation(
+        noshim_config, workload=workload, consensus_engine="pbft", **runner_kwargs
+    )

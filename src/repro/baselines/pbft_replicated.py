@@ -29,7 +29,7 @@ from repro.consensus.pbft import PBFTConfig, PBFTReplica, ReplicaTransport
 from repro.core.client import ClientGroup
 from repro.core.config import ProtocolConfig
 from repro.core.messages import ClientRequestMsg, ResponseMsg
-from repro.core.runner import SimulationResult, _warn_legacy_entry_point
+from repro.core.runner import SimulationResult
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import SignatureService
 from repro.errors import ConfigurationError
@@ -40,7 +40,6 @@ from repro.sim.network import Network
 from repro.sim.process import CpuResource, SimProcess
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
-from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
 from repro.workload.transactions import Transaction, TransactionBatch, execute_batch
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
@@ -74,7 +73,6 @@ class ReplicatedNode(SimProcess):
         per_operation_cost: float = 5e-6,
         throughput: Optional[ThroughputRecorder] = None,
         behaviour: Optional[NodeBehaviour] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         batch_flush_timeout: float = 0.02,
     ) -> None:
@@ -85,7 +83,6 @@ class ReplicatedNode(SimProcess):
         self._signer = signer
         self._per_operation_cost = per_operation_cost
         self._throughput = throughput
-        self._tracer = tracer
         self._obs = obs
         self._behaviour = behaviour
         self._batch_flush_timeout = batch_flush_timeout
@@ -111,7 +108,6 @@ class ReplicatedNode(SimProcess):
             cost_model=config.crypto_costs,
             host=self,
             on_committed=self._on_committed,
-            tracer=tracer,
             obs=obs,
             behaviour=behaviour,
         )
@@ -213,9 +209,8 @@ class ReplicatedNode(SimProcess):
             self._store.apply_writes(txn_result.writes)
         self._executed_batches += 1
         self._executed_txns += len(batch)
-        if self._tracer is not None:
-            self._tracer.record(self.now, "replicated.executed", self.name, seq=entry.seq)
         if self._obs is not None:
+            self._obs.record(self.now, "replicated.executed", self.name, seq=entry.seq)
             self._obs.end_span("execute", entry.seq, self.now)
         if not self.is_primary:
             return
@@ -245,9 +240,8 @@ class PBFTReplicatedSimulation:
         workload: Optional[YCSBConfig] = None,
         execution_threads: int = 16,
         node_behaviours: Optional[Dict[str, NodeBehaviour]] = None,
-        tracer_enabled: bool = True,
+        tracer_enabled: bool = False,
     ) -> None:
-        _warn_legacy_entry_point("PBFTReplicatedSimulation")
         if execution_threads < 1:
             raise ConfigurationError("execution_threads must be at least 1")
         if config.fault_timeline:
@@ -265,11 +259,9 @@ class PBFTReplicatedSimulation:
         self.rng = DeterministicRNG(config.seed)
         self.catalog = RegionCatalog()
         self.obs = ObsContext(enabled=tracer_enabled)
-        self.tracer = self.obs.tracer
         # Mirror the serverless runner's None-gating: disabled observability
         # must leave the components without a single new branch on the hot
-        # path, so they only ever see a tracer/obs handle when it is live.
-        component_tracer = self.tracer if tracer_enabled else None
+        # path, so they only ever see an obs handle when it is live.
         component_obs = self.obs.component()
         self.network = Network(self.sim, GeoLatencyModel(self.catalog), self.rng.child("network"))
         self.keystore = KeyStore(deployment_secret=f"replicated-{config.seed}")
@@ -291,7 +283,6 @@ class PBFTReplicatedSimulation:
                 execution_threads=execution_threads,
                 throughput=self.throughput,
                 behaviour=node_behaviours.get(name),
-                tracer=component_tracer,
                 obs=component_obs,
             )
             for name in shim_names
@@ -313,7 +304,6 @@ class PBFTReplicatedSimulation:
                 verifier_name=shim_names[0],
                 client_timeout=config.client_timeout,
                 latency_recorder=self.latency,
-                tracer=component_tracer,
                 obs=component_obs,
                 client_index_offset=index * group_size,
             )

@@ -17,11 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.runner import (
-    ServerlessBFTSimulation,
-    _entry_point_sanction,
-    _warn_legacy_entry_point,
-)
+from repro.core.runner import ServerlessBFTSimulation
 from repro.workload.ycsb import YCSBConfig
 
 
@@ -30,17 +26,8 @@ def build_serverless_cft_simulation(
     workload: Optional[YCSBConfig] = None,
     **runner_kwargs,
 ) -> ServerlessBFTSimulation:
-    """Build the SERVERLESSCFT deployment corresponding to ``config``.
-
-    Deprecated as a direct entry point: prefer
-    ``repro.api.run(RunSpec(system="serverless_cft", ...))``.
-    """
-    _warn_legacy_entry_point("build_serverless_cft_simulation")
+    """Build the SERVERLESSCFT deployment corresponding to ``config``."""
     cft_config = config.with_overrides(txn_ingest_cost=15e-6)
-    with _entry_point_sanction():
-        return ServerlessBFTSimulation(
-            cft_config,
-            workload=workload,
-            consensus_engine="paxos",
-            **runner_kwargs,
-        )
+    return ServerlessBFTSimulation(
+        cft_config, workload=workload, consensus_engine="paxos", **runner_kwargs
+    )

@@ -61,7 +61,6 @@ class PaxosReplica:
         cost_model: CryptoCostModel,
         host,
         on_committed: Callable[[CommittedEntry], None],
-        tracer=None,
         obs=None,
     ) -> None:
         if replica_id not in replicas:
@@ -75,7 +74,6 @@ class PaxosReplica:
         self._costs = cost_model
         self._host = host
         self._on_committed = on_committed
-        self._tracer = tracer
         self._obs = obs
 
         self._ballot = 0
@@ -218,5 +216,5 @@ class PaxosReplica:
         self._on_committed(entry)
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self._host.now, category, self._id, **details)
+        if self._obs is not None:
+            self._obs.record(self._host.now, category, self._id, **details)

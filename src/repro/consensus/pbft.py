@@ -88,7 +88,6 @@ class PBFTReplica:
         host,
         on_committed: Callable[[CommittedEntry], None],
         on_view_installed: Optional[Callable[[int, str], None]] = None,
-        tracer=None,
         obs=None,
         behaviour=None,
     ) -> None:
@@ -106,7 +105,6 @@ class PBFTReplica:
         self._host = host
         self._on_committed = on_committed
         self._on_view_installed = on_view_installed
-        self._tracer = tracer
         self._obs = obs
         self._behaviour = behaviour
 
@@ -837,5 +835,5 @@ class PBFTReplica:
         return self._log.slot(seq).certificate
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self._host.now, category, self._id, **details)
+        if self._obs is not None:
+            self._obs.record(self._host.now, category, self._id, **details)

@@ -30,7 +30,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.stats import LatencyRecorder
-from repro.sim.tracing import Tracer
 from repro.workload.ycsb import YCSBWorkload
 
 
@@ -65,7 +64,6 @@ class ClientGroup(SimProcess):
         client_timeout: float = 4.0,
         stop_time: Optional[float] = None,
         latency_recorder: Optional[LatencyRecorder] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         client_index_offset: int = 0,
     ) -> None:
@@ -80,7 +78,6 @@ class ClientGroup(SimProcess):
         self._client_timeout = client_timeout
         self._stop_time = stop_time
         self._latency = latency_recorder
-        self._tracer = tracer
         self._obs = obs
         self._client_index_offset = client_index_offset
 
@@ -152,9 +149,8 @@ class ClientGroup(SimProcess):
         timer = self.set_timer(self._client_timeout, self._on_timeout, request_id, 1)
         self._outstanding[request_id] = _OutstandingRequest(request, self.now, timer)
         self._network.send(self.name, self._primary_name, request, request.size_bytes)
-        if self._tracer is not None:
-            self._tracer.record(self.now, "client.request_sent", self.name, request_id=request_id)
         if self._obs is not None:
+            self._obs.record(self.now, "client.request_sent", self.name, request_id=request_id)
             self._obs.begin_span("request", request_id, self.now, self.name)
 
     # ------------------------------------------------------------------ handlers
@@ -193,8 +189,8 @@ class ClientGroup(SimProcess):
         self._aborted_txns += entry.aborted
         if self._latency is not None:
             self._latency.record(entry.sent_at, self.now)
-        if self._tracer is not None:
-            self._tracer.record(
+        if self._obs is not None:
+            self._obs.record(
                 self.now,
                 "client.request_done",
                 self.name,
@@ -202,7 +198,6 @@ class ClientGroup(SimProcess):
                 committed=entry.committed,
                 aborted=entry.aborted,
             )
-        if self._obs is not None:
             self._obs.end_span("request", request_id, self.now)
         self._send_next_request()
 
@@ -216,8 +211,8 @@ class ClientGroup(SimProcess):
         self._network.send(
             self.name, self._verifier_name, entry.request, entry.request.size_bytes
         )
-        if self._tracer is not None:
-            self._tracer.record(
+        if self._obs is not None:
+            self._obs.record(
                 self.now, "client.retransmit", self.name, request_id=request_id, attempt=attempt
             )
         # Exponential back-off before trying again.

@@ -33,7 +33,6 @@ from repro.faults.byzantine import ExecutorBehaviour
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
-from repro.sim.tracing import Tracer
 from repro.storage.service import StorageReadReply, StorageReadRequest, StorageService
 from repro.workload.transactions import execute_batch_cached
 
@@ -55,7 +54,6 @@ class Executor(SimProcess):
         required_certificate_signers: int,
         per_operation_cost: float = 20e-6,
         behaviour: Optional[ExecutorBehaviour] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
     ) -> None:
         super().__init__(sim, name, region, cores=None)
@@ -68,7 +66,6 @@ class Executor(SimProcess):
         self._required_signers = required_certificate_signers
         self._per_operation_cost = per_operation_cost
         self._behaviour = behaviour
-        self._tracer = tracer
         self._obs = obs
         self._read_counter = itertools.count()
         self._pending_execute: Optional[ExecuteMsg] = None
@@ -191,5 +188,5 @@ class Executor(SimProcess):
         self._cloud.finish(self.name)
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self.now, category, self.name, **details)
+        if self._obs is not None:
+            self._obs.record(self.now, category, self.name, **details)

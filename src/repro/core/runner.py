@@ -10,9 +10,7 @@ diagnostics (view changes, spawn counts, network statistics).
 
 from __future__ import annotations
 
-import contextlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -37,38 +35,6 @@ from repro.sim.stats import LatencyRecorder, LatencySummary, ThroughputRecorder
 from repro.storage.kvstore import VersionedKVStore
 from repro.storage.service import StorageService
 from repro.workload.ycsb import YCSBConfig, YCSBWorkload
-
-
-# Depth counter raised while the repro.api facade constructs deployments:
-# direct construction of the simulation classes below is a deprecated entry
-# point, but the facade itself builds them through the system registry and
-# must not trip the warning.  The simulator is single-threaded, so a plain
-# module global suffices.
-_ENTRY_POINT_SANCTION_DEPTH = 0
-
-
-@contextlib.contextmanager
-def _entry_point_sanction():
-    """Mark the enclosed constructions as facade-internal (no deprecation)."""
-    global _ENTRY_POINT_SANCTION_DEPTH
-    _ENTRY_POINT_SANCTION_DEPTH += 1
-    try:
-        yield
-    finally:
-        _ENTRY_POINT_SANCTION_DEPTH -= 1
-
-
-def _warn_legacy_entry_point(name: str) -> None:
-    """Emit the deprecation for a direct (non-facade) constructor call."""
-    if _ENTRY_POINT_SANCTION_DEPTH:
-        return
-    warnings.warn(
-        f"constructing {name} directly is deprecated; use "
-        f"repro.api.run(RunSpec(...)) — or repro.api.build_system(...) when "
-        f"holding pre-built config objects",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -133,10 +99,9 @@ class ServerlessBFTSimulation:
         ] = None,
         network_fault_plan: Optional[NetworkFaultPlan] = None,
         regions: Optional[RegionCatalog] = None,
-        tracer_enabled: bool = True,
+        tracer_enabled: bool = False,
         preload_storage: bool = False,
     ) -> None:
-        _warn_legacy_entry_point("ServerlessBFTSimulation")
         if consensus_engine not in ("pbft", "paxos"):
             raise ConfigurationError(f"unknown consensus engine {consensus_engine!r}")
         self.config = config
@@ -149,14 +114,10 @@ class ServerlessBFTSimulation:
         self.sim = Simulator()
         self.rng = DeterministicRNG(config.seed)
         self.catalog = regions or RegionCatalog()
-        # One observability context per run: it owns the tracer, the
-        # commit-path span log, and the metrics registry.
+        # One observability context per run.  Components skip telemetry
+        # entirely on a None handle; threading None when tracing is off
+        # removes a dead call per protocol step.
         self.obs = ObsContext(enabled=tracer_enabled)
-        self.tracer = self.obs.tracer
-        # Components skip tracing entirely on a None tracer; threading None
-        # when tracing is off removes a dead call per protocol step.  The
-        # obs context follows the exact same pattern.
-        component_tracer = self.tracer if tracer_enabled else None
         component_obs = self.obs.component()
         self.network = Network(
             self.sim,
@@ -203,7 +164,6 @@ class ServerlessBFTSimulation:
             expected_executors=config.num_executors,
             quorum_timeout=config.verifier_quorum_timeout,
             throughput=self.throughput,
-            tracer=component_tracer,
             obs=component_obs,
         )
         self.storage_service = StorageService(
@@ -232,8 +192,7 @@ class ServerlessBFTSimulation:
                 verifier_name="verifier",
                 consensus_engine=consensus_engine,
                 behaviour=node_behaviours.get(name),
-                tracer=component_tracer,
-                obs=component_obs,
+                    obs=component_obs,
             )
             self.nodes.append(node)
 
@@ -254,8 +213,7 @@ class ServerlessBFTSimulation:
                 verifier_name="verifier",
                 client_timeout=config.client_timeout,
                 latency_recorder=self.latency,
-                tracer=component_tracer,
-                obs=component_obs,
+                    obs=component_obs,
                 client_index_offset=index * group_size,
             )
             self.clients.append(group)
@@ -308,7 +266,6 @@ class ServerlessBFTSimulation:
             required_certificate_signers=self._executor_required_signers,
             per_operation_cost=self.config.executor_read_ops_cost,
             behaviour=behaviour,
-            tracer=self.tracer if self.tracer.enabled else None,
             obs=self.obs.component(),
         )
         self._executor_counter += 1

@@ -42,7 +42,6 @@ from repro.faults.byzantine import NodeBehaviour
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
-from repro.sim.tracing import Tracer
 from repro.workload.transactions import Transaction, TransactionBatch
 
 
@@ -82,7 +81,6 @@ class ShimNode(SimProcess):
         verifier_name: str,
         consensus_engine: str = "pbft",
         behaviour: Optional[NodeBehaviour] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         batch_flush_timeout: float = 0.02,
     ) -> None:
@@ -95,7 +93,6 @@ class ShimNode(SimProcess):
         self._cloud = cloud
         self._verifier_name = verifier_name
         self._behaviour = behaviour
-        self._tracer = tracer
         self._obs = obs
         self._batch_flush_timeout = batch_flush_timeout
 
@@ -136,7 +133,6 @@ class ShimNode(SimProcess):
                 cost_model=costs,
                 host=self,
                 on_committed=self._on_committed,
-                tracer=tracer,
                 obs=obs,
             )
         else:
@@ -153,7 +149,6 @@ class ShimNode(SimProcess):
                 host=self,
                 on_committed=self._on_committed,
                 on_view_installed=self._on_view_installed,
-                tracer=tracer,
                 obs=obs,
                 behaviour=behaviour,
             )
@@ -495,5 +490,5 @@ class ShimNode(SimProcess):
         self._maybe_propose()
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self.now, category, self.name, **details)
+        if self._obs is not None:
+            self._obs.record(self.now, category, self.name, **details)

@@ -45,7 +45,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
-from repro.sim.tracing import Tracer
 from repro.storage.kvstore import VersionedKVStore
 
 
@@ -79,7 +78,6 @@ class Verifier(SimProcess):
         expected_executors: int,
         quorum_timeout: float = 2.0,
         throughput: Optional[ThroughputRecorder] = None,
-        tracer: Optional[Tracer] = None,
         obs=None,
         verify_processing_cost: float = 30e-6,
         write_cost_per_key: float = 5e-6,
@@ -95,7 +93,6 @@ class Verifier(SimProcess):
         self._expected_executors = expected_executors
         self._quorum_timeout = quorum_timeout
         self._throughput = throughput or ThroughputRecorder()
-        self._tracer = tracer
         self._obs = obs
         self._verify_processing_cost = verify_processing_cost
         self._write_cost_per_key = write_cost_per_key
@@ -472,5 +469,5 @@ class Verifier(SimProcess):
             self._network.send(self.name, node, ack, ack.size_bytes)
 
     def _trace(self, category: str, **details) -> None:
-        if self._tracer is not None:
-            self._tracer.record(self.now, category, self.name, **details)
+        if self._obs is not None:
+            self._obs.record(self.now, category, self.name, **details)

@@ -36,7 +36,7 @@ from repro.perf import PERF
 #: Calling-convention tag; must equal ``_impl.BUILD_TAG`` or the extension
 #: is treated as absent (stale .so from an older checkout).  Bump both in
 #: lockstep whenever the C API between chooser and extension changes.
-KERNEL_BUILD_TAG = "repro-ckernel-1"
+KERNEL_BUILD_TAG = "repro-ckernel-2"
 
 #: The compiled module when active, else ``None``.  Consumers must treat
 #: this as opaque and call :func:`configure_types` etc. through this module.
@@ -79,8 +79,7 @@ def _choose() -> "tuple[Optional[Any], str]":
     if compiled is not None:
         compiled.set_perf(PERF)
         # Digests route through hashlib's vendor-optimised SHA-256 (SHA-NI /
-        # AVX2 on x86); the extension's portable sha256.c is only the
-        # self-contained fallback and the parity-test subject.
+        # AVX2 on x86); the extension has no SHA-256 of its own.
         compiled.configure_sha256(hashlib.sha256)
         return compiled, ""
     if mode == "c":
@@ -168,8 +167,3 @@ def c_digest() -> Optional[Any]:
 def c_cached_digest() -> Optional[Any]:
     """``(value) -> str`` — memoising digest (same contract as hashing's)."""
     return getattr(_impl, "cached_digest", None)
-
-
-def c_sha256_hex() -> Optional[Any]:
-    """``(bytes | str) -> str`` — parity hook for the SHA-256 tests."""
-    return getattr(_impl, "sha256_hex", None)

@@ -11,8 +11,8 @@ return a live object for disabled runs, quietly re-introducing per-event
 overhead that the obs-on/obs-off digest suite cannot see (digests stay
 identical; only the hot path got slower).
 
-The rule flags *instrumentation* calls (``begin_span``/``end_span`` and
-metric-emission methods) on a receiver named ``obs`` / ``_obs`` (bare or
+The rule flags *instrumentation* calls (``record``, ``begin_span``,
+``end_span``) on a receiver named ``obs`` / ``_obs`` (bare or
 as an attribute, e.g. ``self._obs``) that are not dominated by an
 ``is not None`` test of the same receiver.  Owner-side lifecycle calls —
 the simulation calling ``component()``/``on_run_start()``/``finalize()``
@@ -46,18 +46,7 @@ _OBS_NAMES = frozenset({"obs", "_obs"})
 #: None) obs handle.  Owner-side lifecycle methods (``component``,
 #: ``on_run_start``, ``finalize``, ...) are called on the concrete context
 #: and deliberately absent.
-_INSTRUMENTATION_METHODS = frozenset(
-    {
-        "begin_span",
-        "end_span",
-        "counter",
-        "gauge",
-        "histogram",
-        "increment",
-        "observe",
-        "record",
-    }
-)
+_INSTRUMENTATION_METHODS = frozenset({"begin_span", "end_span", "record"})
 
 _TERMINAL = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 

@@ -1,13 +1,13 @@
 """repro.obs — the unified per-run observability layer (flight recorder).
 
-One :class:`~repro.obs.context.ObsContext` per run owns the trace
-(:class:`~repro.sim.tracing.Tracer`), the commit-path span log
-(:class:`~repro.obs.spans.SpanLog`), and the metrics registry
-(:class:`~repro.obs.metrics.MetricsRegistry`); the runner collects them
-into a digest-neutral JSON payload on ``SimulationResult.obs`` that
-survives pool workers and the result store, exports to schema-versioned
-JSONL (:mod:`repro.obs.export`), and renders through ``python -m
-repro.obs`` (:mod:`repro.obs.cli`).
+One :class:`~repro.obs.context.ObsContext` per run is the single
+telemetry handle every component holds: it records protocol milestones,
+owns the commit-path span log (:class:`~repro.obs.spans.SpanLog`), and
+absorbs the per-run ``PERF`` delta; the runner collects them into a
+digest-neutral JSON payload on ``SimulationResult.obs`` that survives pool
+workers and the result store, exports to schema-versioned JSONL
+(:mod:`repro.obs.export`), and renders through ``python -m repro.obs``
+(:mod:`repro.obs.cli`).
 """
 
 from repro.obs.context import (
@@ -24,7 +24,6 @@ from repro.obs.export import (
     validate_records,
     write_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import DEFAULT_SPAN_CAPACITY, Span, SpanLog
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "DEFAULT_SPAN_CAPACITY",
     "DEFAULT_TRACE_CAPACITY",
     "FAULT_PHASES",
-    "MetricsRegistry",
     "OBS_SCHEMA_VERSION",
     "ObsContext",
     "Span",

@@ -1,12 +1,13 @@
 """The per-run observability context.
 
-One :class:`ObsContext` per deployment replaces the scattered fragments
-observability used to live in: the in-memory :class:`~repro.sim.tracing.Tracer`,
-the process-global :data:`repro.perf.PERF` counters (absorbed as a per-run
-snapshot/delta), and the watchdog's loose ``result.extra`` keys (mirrored as
-``fault.*`` gauges).  The simulation constructs it once, threads it to
-components the same way the tracer is threaded — ``None`` when disabled, so
-a disabled run pays zero per-event cost — and collects everything into one
+One :class:`ObsContext` per deployment is the only telemetry object a
+component sees.  It records protocol milestones (:meth:`ObsContext.record`),
+the commit-path span log, the process-global :data:`repro.perf.PERF`
+counters (absorbed as a per-run snapshot/delta), and the watchdog's loose
+``result.extra`` keys (mirrored as ``fault.*`` gauges).  The simulation
+constructs it once and hands each component one ``obs`` handle — ``None``
+when disabled, so a disabled run pays zero per-event cost beyond a single
+``if self._obs is not None`` test — and collects everything into one
 JSON-able payload at the end of the run.
 
 The payload is attached to ``SimulationResult.obs``, which is a *host-side*
@@ -18,17 +19,16 @@ four systems).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional
+import warnings
+from typing import Any, Dict, Hashable, List, Mapping, Optional
 
 from repro.obs.export import OBS_SCHEMA_VERSION
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import DEFAULT_SPAN_CAPACITY, SpanLog
+from repro.obs.spans import SpanLog
 from repro.perf import PERF
 from repro.sim.stats import LatencyRecorder
-from repro.sim.tracing import Tracer
 
-#: Default bound on retained trace events per run (the tracer counts what
-#: it drops past this — see the exported header's ``trace_dropped``).
+#: Bound on retained milestone events per run: the first this many are
+#: kept, later ones are counted (the exported header's ``trace_dropped``).
 DEFAULT_TRACE_CAPACITY = 250_000
 
 #: Span names of the commit path, in pipeline order (used by the CLI and
@@ -40,29 +40,57 @@ FAULT_PHASES = ("view_change", "recovery")
 
 
 class ObsContext:
-    """Owns the tracer, span log, and metrics registry of one run."""
+    """Owns the milestone events, span log, and metrics of one run."""
 
-    def __init__(
-        self,
-        enabled: bool,
-        trace_capacity: Optional[int] = DEFAULT_TRACE_CAPACITY,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
-    ) -> None:
+    def __init__(self, enabled: bool) -> None:
         self.enabled = bool(enabled)
-        self.tracer = Tracer(enabled=self.enabled, capacity=trace_capacity)
-        self.spans = SpanLog(capacity=span_capacity)
-        self.metrics = MetricsRegistry()
+        self.spans = SpanLog()
+        self._events: List[Dict[str, Any]] = []
+        self.trace_dropped = 0
         self._perf_baseline: Optional[Dict[str, int]] = None
 
     def component(self) -> Optional["ObsContext"]:
         """What components receive: ``self`` when enabled, else ``None``.
 
-        The same pattern the tracer uses — a component guards every
-        emission with ``if self._obs is not None``, so a disabled run has
-        no per-event branch beyond that single None test it already pays
-        for the tracer.
+        A component guards every emission with ``if self._obs is not None``,
+        so a disabled run has no per-event branch beyond that single test.
         """
         return self if self.enabled else None
+
+    # ------------------------------------------------------------------ events
+
+    def record(self, time: float, category: str, actor: str, **details: Any) -> None:
+        """Record one protocol milestone at virtual ``time``.
+
+        The first :data:`DEFAULT_TRACE_CAPACITY` events are kept; later ones
+        are counted in :attr:`trace_dropped`, and the first drop warns once.
+        """
+        if not self.enabled:
+            return
+        if len(self._events) >= DEFAULT_TRACE_CAPACITY:
+            if self.trace_dropped == 0:
+                warnings.warn(
+                    f"trace capacity {DEFAULT_TRACE_CAPACITY} reached; further "
+                    f"events are dropped (counted in ObsContext.trace_dropped)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            self.trace_dropped += 1
+            return
+        self._events.append(
+            {"time": time, "category": category, "actor": actor, "details": details}
+        )
+
+    def events(
+        self, category: Optional[str] = None, actor: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        """Recorded events, optionally filtered by category and actor."""
+        return [
+            event
+            for event in self._events
+            if (category is None or event["category"] == category)
+            and (actor is None or event["actor"] == actor)
+        ]
 
     # ------------------------------------------------------------------ spans
 
@@ -92,10 +120,10 @@ class ObsContext:
         self, duration: float, extra: Optional[Mapping[str, float]] = None
     ) -> Dict[str, object]:
         """Assemble the run's JSON-able observability payload."""
-        self.metrics.absorb_counters("perf", self.perf_delta())
-        if extra:
-            self.metrics.absorb_gauges("fault", extra)
-        self.metrics.gauge("run.duration", float(duration))
+        perf = self.perf_delta()
+        counters = {f"perf.{name}": float(perf[name]) for name in sorted(perf)}
+        gauges = {f"fault.{name}": float(value) for name, value in (extra or {}).items()}
+        gauges["run.duration"] = float(duration)
 
         phases: Dict[str, Dict[str, float]] = {}
         durations = self.spans.durations_by_name()
@@ -116,21 +144,16 @@ class ObsContext:
                 "maximum": summary.maximum,
             }
 
-        events: List[Dict[str, object]] = [
-            {
-                "time": event.time,
-                "category": event.category,
-                "actor": event.actor,
-                "details": dict(event.details),
-            }
-            for event in self.tracer
-        ]
         return {
             "schema": OBS_SCHEMA_VERSION,
-            "metrics": self.metrics.snapshot(),
+            "metrics": {
+                "counters": counters,
+                "gauges": dict(sorted(gauges.items())),
+                "histograms": {},
+            },
             "phases": phases,
             "spans": [span.to_dict() for span in self.spans.spans()],
             "spans_open": self.spans.open_count,
             "spans_dropped": self.spans.dropped,
-            "trace": {"events": events, "dropped": self.tracer.dropped},
+            "trace": {"events": list(self._events), "dropped": self.trace_dropped},
         }

@@ -4,7 +4,7 @@ A payload (the ``obs`` dict attached to a traced
 :class:`~repro.core.runner.SimulationResult`) flattens to one JSONL record
 per line: a header first, then metrics, per-phase summaries, spans, and
 trace events.  The header carries the schema version and the explicit drop
-counts of both bounded collectors (span ring buffer, tracer capacity), so a
+counts of both bounded collectors (span ring buffer, event capacity), so a
 reader always knows whether — and how much — the trace was truncated.
 
 ``records_to_payload`` inverts ``payload_to_records`` exactly, and

@@ -1,7 +1,7 @@
 """Replicate-aware aggregation of result-store records.
 
 The statistics layer under ``python -m repro.report``: load a
-:class:`~repro.sweep.store.ResultStore`, group its records into *series
+:class:`~repro.store.ResultBackend`, group its records into *series
 points* — one per (sweep, system, scenario, labels-minus-``replicate``)
 combination — and summarise each group across its replicate seeds.
 

@@ -1,8 +1,7 @@
 """The result warehouse: backend-abstracted, queryable result storage.
 
-Grown out of the sweep layer's single JSONL file (``repro.sweep.store``,
-now a compatibility shim over this package), the warehouse separates *what*
-a result record is from *where* it lives:
+Grown out of the sweep layer's single JSONL file, the warehouse separates
+*what* a result record is from *where* it lives:
 
 * :mod:`repro.store.record` — the record schema every backend shares, with
   its addressed/host-side field partition (lint-enforced via DIG002).

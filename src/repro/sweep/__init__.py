@@ -12,8 +12,7 @@ them into declarative, cacheable, multi-core experiment runs:
   digest (append-only JSONL, indexed sqlite, per-worker shards with a
   deterministic merge) behind one :class:`~repro.store.ResultBackend`
   protocol, so re-runs skip simulated points and interrupted sweeps
-  resume no matter which backend holds the records.  ``ResultStore``
-  (re-exported here via :mod:`repro.sweep.store`) *is* the JSONL backend.
+  resume no matter which backend holds the records.
 * :mod:`repro.sweep.scenarios` — named fault/workload presets (region
   outage, partitions, byzantine executors, skewed YCSB, ...).
 * :mod:`repro.sweep.presets` — named sweeps (``fig6-executors``, ...) for
@@ -53,14 +52,12 @@ from repro.sweep.spec import (
     sweep_from_grid,
     with_replicates,
 )
-from repro.sweep.store import ResultStore
 
 __all__ = [
     "DEFAULT_METRICS",
     "GridSpec",
     "PointOutcome",
     "PointSpec",
-    "ResultStore",
     "Scenario",
     "SweepReport",
     "SweepSpec",

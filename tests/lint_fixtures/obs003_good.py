@@ -22,5 +22,9 @@ class Executor:
         assert obs is not None
         obs.end_span("commit", seq, now)
 
+    def _trace(self, category, now, **details):
+        if self._obs is not None:
+            self._obs.record(now, category, "executor", **details)
+
     def span_or_default(self, seq, now):
         return self._obs.begin_span("x", seq, now, "e") if self._obs is not None else None

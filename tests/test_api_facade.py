@@ -7,8 +7,8 @@
 * one validation path for unsupported knobs (registry capabilities),
 * runtime-registered systems work end-to-end (``PointSpec`` validation,
   ``repro.api.run``, sweeps, CLI),
-* legacy entry points still work but emit ``DeprecationWarning``; the
-  facade itself never does.
+* the deployment constructors build bit-identical deployments to the
+  facade, and the facade never warns.
 """
 
 import warnings
@@ -33,6 +33,7 @@ from repro.api import (
     system_names,
 )
 from repro.errors import ConfigurationError
+from repro.store import JsonlBackend
 from repro.sweep import PointSpec, Scenario, SweepSpec, register_scenario, run_sweep
 from repro.sweep.cli import main as sweep_cli
 
@@ -76,13 +77,10 @@ def test_facade_matches_legacy_constructor_bit_for_bit():
     resolved = resolve(spec)
     facade_result = run(spec)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = ServerlessBFTSimulation(
-            protocol_config_from_dict(resolved["config"]),
-            workload=workload_config_from_dict(resolved["workload"]),
-            tracer_enabled=False,
-        )
+    legacy = ServerlessBFTSimulation(
+        protocol_config_from_dict(resolved["config"]),
+        workload=workload_config_from_dict(resolved["workload"]),
+    )
     legacy_result = legacy.run(duration=0.4, warmup=0.1)
     assert result_digest(facade_result) == result_digest(legacy_result)
 
@@ -334,27 +332,7 @@ def test_runtime_registered_system_ships_to_workers():
     assert {adapter.name for adapter in adapters} <= set(system_names())
 
 
-# ------------------------------------------------------------------ deprecation shims
-
-
-def test_legacy_entry_points_emit_deprecation_warnings():
-    from repro.baselines import (
-        PBFTReplicatedSimulation,
-        build_noshim_simulation,
-        build_serverless_cft_simulation,
-    )
-    from repro.core.config import ProtocolConfig
-    from repro.core.runner import ServerlessBFTSimulation
-
-    config = ProtocolConfig(num_clients=8, client_groups=2, crypto_backend="fast")
-    with pytest.warns(DeprecationWarning, match="ServerlessBFTSimulation"):
-        ServerlessBFTSimulation(config, tracer_enabled=False)
-    with pytest.warns(DeprecationWarning, match="build_noshim_simulation"):
-        build_noshim_simulation(config, tracer_enabled=False)
-    with pytest.warns(DeprecationWarning, match="build_serverless_cft_simulation"):
-        build_serverless_cft_simulation(config, tracer_enabled=False)
-    with pytest.warns(DeprecationWarning, match="PBFTReplicatedSimulation"):
-        PBFTReplicatedSimulation(config, tracer_enabled=False)
+# ------------------------------------------------------------------ warnings
 
 
 def test_facade_construction_never_warns():
@@ -372,12 +350,10 @@ def test_facade_construction_never_warns():
 
 
 def test_run_with_store_caches_and_resumes(tmp_path):
-    from repro.sweep.store import ResultStore
-
     store_path = str(tmp_path / "api.jsonl")
     spec = _spec()
     first = run(spec, store=store_path)  # a path is accepted directly
-    store = ResultStore(store_path)
+    store = JsonlBackend(store_path)
     assert len(store) == 1 and spec_digest(spec) in store
 
     # Second run: served from the store, bit-identical simulated metrics.
@@ -387,15 +363,13 @@ def test_run_with_store_caches_and_resumes(tmp_path):
     # The store only intercepts matching specs; a different spec simulates.
     other = run(_spec(overrides={**FAST_OVERRIDES, "batch_size": 7}), store=store)
     assert result_digest(other) != result_digest(first)
-    assert len(ResultStore(store_path)) == 2
+    assert len(JsonlBackend(store_path)) == 2
 
 
 def test_run_store_shares_addresses_with_sweeps(tmp_path):
     """An ad-hoc facade run and a sweep point with the same resolved config
     share one cache entry — same content-address space."""
-    from repro.sweep.store import ResultStore
-
-    store = ResultStore(str(tmp_path / "shared.jsonl"))
+    store = JsonlBackend(str(tmp_path / "shared.jsonl"))
     spec = _spec(seed=11)
     run(spec, store=store)
     point = PointSpec(
@@ -422,9 +396,7 @@ def test_run_with_store_rejects_bespoke_fault_objects(tmp_path):
 
 
 def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
-    from repro.sweep.store import ResultStore
-
-    store = ResultStore(str(tmp_path / "family.jsonl"))
+    store = JsonlBackend(str(tmp_path / "family.jsonl"))
     spec = _spec(replicates=2)
     family = run_replicates(spec, store=store)
     assert len(family) == 2
@@ -432,7 +404,7 @@ def test_run_replicates_expands_caches_and_differs_per_seed(tmp_path):
     assert len(store) == 2
 
     # Re-run: 100% cache hit, same results.
-    again = run_replicates(spec, store=ResultStore(store.path))
+    again = run_replicates(spec, store=JsonlBackend(store.path))
     assert [result_digest(r) for r in again] == [result_digest(r) for r in family]
 
     # run() refuses a multi-replicate spec instead of silently running one.

@@ -109,9 +109,11 @@ def test_preloaded_storage_round_trip():
 
 
 def test_tracer_captures_protocol_milestones():
-    simulation, _result = run_simulation()
-    tracer = simulation.tracer
-    assert tracer.count("pbft.committed") > 0
-    assert tracer.count("node.executors_spawned") > 0
-    assert tracer.count("verifier.validated") > 0
-    assert tracer.count("executor.verify_sent") > 0
+    simulation, _result = run_simulation(tracer_enabled=True)
+    for category in (
+        "pbft.committed",
+        "node.executors_spawned",
+        "verifier.validated",
+        "executor.verify_sent",
+    ):
+        assert simulation.obs.events(category), category

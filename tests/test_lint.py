@@ -85,6 +85,17 @@ def test_pr2_hash_bug_reconstruction_caught():
     assert any("stagger" in f.snippet for f in hash_findings)
 
 
+def test_obs003_flags_unguarded_milestone_record():
+    """Milestones go through the same obs handle as spans, so an unguarded
+    ``self._obs.record(...)`` is flagged like an unguarded span call."""
+    result = run_lint([os.path.join(FIXTURES, "obs003_bad.py")])
+    records = [
+        f for f in result.errors if f.rule == "OBS003" and "self._obs.record" in f.message
+    ]
+    assert len(records) == 1
+    assert "<- OBS003" in records[0].snippet
+
+
 # ------------------------------------------------------------------ engine
 
 

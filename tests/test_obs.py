@@ -9,7 +9,10 @@ crossing trace collection, per-run PERF delta discipline, and the CLI.
 from __future__ import annotations
 
 import json
-import warnings
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -35,10 +38,7 @@ POINT = dict(duration=0.8, warmup=0.2, seed=11)
 
 def _run(system: str, tracer_enabled: bool, **kwargs) -> object:
     params = {**POINT, **kwargs}
-    spec = RunSpec(system=system, tracer_enabled=tracer_enabled, **params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run(spec)
+    return run(RunSpec(system=system, tracer_enabled=tracer_enabled, **params))
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,43 @@ def test_obs_on_off_digests_identical_with_fault_timeline():
     # The watchdog extras are absorbed into the payload as fault.* gauges.
     gauges = traced.obs["metrics"]["gauges"]
     assert any(name.startswith("fault.") for name in gauges)
+
+
+# ------------------------------------------------------------------ golden payloads
+
+#: SHA-256 prefixes of ``json.dumps(result.obs, sort_keys=True)`` for
+#: ``RunSpec(system=S, duration=0.6, warmup=0.1, seed=7, tracer_enabled=True)``
+#: on the pure-Python kernel.  A change here means the traced payload (or
+#: the stored results, JSONL exports and CLI views built from it) changed.
+GOLDEN_PAYLOAD_SHA256 = {
+    "serverless_bft": "a49557bfa291e528",
+    "serverless_cft": "4939e72e929a4fd4",
+    "pbft_replicated": "1199a81364eb2eb7",
+    "noshim": "30d83bc23d4060a4",
+}
+
+
+def test_traced_payload_matches_golden_hashes():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = textwrap.dedent(
+        f"""
+        import hashlib, json
+        from repro.api import RunSpec, run
+        for system in {tuple(GOLDEN_PAYLOAD_SHA256)!r}:
+            spec = RunSpec(system=system, duration=0.6, warmup=0.1, seed=7,
+                           tracer_enabled=True)
+            payload = json.dumps(run(spec).obs, sort_keys=True).encode()
+            print(system, hashlib.sha256(payload).hexdigest()[:16])
+        """
+    )
+    env = dict(os.environ, REPRO_KERNEL="py")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    measured = dict(line.split() for line in proc.stdout.splitlines())
+    assert measured == GOLDEN_PAYLOAD_SHA256
 
 
 # ------------------------------------------------------------------ payload shape
@@ -174,10 +211,8 @@ def test_run_replicates_pool_traces_match_serial():
     spec = RunSpec(
         system="serverless_bft", replicates=2, tracer_enabled=True, **POINT
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        serial = run_replicates(spec, workers=0)
-        pooled = run_replicates(spec, workers=4)
+    serial = run_replicates(spec, workers=0)
+    pooled = run_replicates(spec, workers=4)
     assert len(serial) == len(pooled) == 2
     for serial_result, pooled_result in zip(serial, pooled):
         assert pooled_result.obs is not None
@@ -211,7 +246,6 @@ def test_perf_deltas_do_not_bleed_across_runs():
 def test_obs_context_disabled_is_inert():
     context = ObsContext(enabled=False)
     assert context.component() is None
-    assert not context.tracer.enabled
     context.on_run_start()
     assert all(value == 0 for value in context.perf_delta().values()) or True
     # finalize is never called on the disabled path (runner gates on

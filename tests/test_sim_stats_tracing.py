@@ -1,11 +1,12 @@
-"""Unit tests for statistics recorders and the tracer."""
+"""Unit tests for statistics recorders and milestone recording."""
 
 import warnings
 
 import pytest
 
+from repro.obs import context as obs_context
+from repro.obs import ObsContext
 from repro.sim.stats import LatencyRecorder, ThroughputRecorder
-from repro.sim.tracing import Tracer
 
 
 def test_latency_summary_basic():
@@ -76,43 +77,46 @@ def test_throughput_empty():
 
 
 def test_tracer_records_and_filters():
-    tracer = Tracer()
-    tracer.record(0.1, "pbft.committed", "node-0", seq=1)
-    tracer.record(0.2, "pbft.committed", "node-1", seq=1)
-    tracer.record(0.3, "verifier.validated", "verifier", seq=1)
-    assert len(tracer) == 3
-    assert tracer.count("pbft.committed") == 2
-    assert len(tracer.events(category="pbft.committed", actor="node-0")) == 1
-    assert tracer.last("verifier.validated").details["seq"] == 1
-    assert tracer.last("missing") is None
+    obs = ObsContext(enabled=True)
+    obs.record(0.1, "pbft.committed", "node-0", seq=1)
+    obs.record(0.2, "pbft.committed", "node-1", seq=1)
+    obs.record(0.3, "verifier.validated", "verifier", seq=1)
+    assert len(obs.events()) == 3
+    assert len(obs.events("pbft.committed")) == 2
+    assert len(obs.events(category="pbft.committed", actor="node-0")) == 1
+    assert obs.events("verifier.validated")[-1]["details"]["seq"] == 1
+    assert obs.events("missing") == []
 
 
 def test_tracer_disabled_records_nothing():
-    tracer = Tracer(enabled=False)
-    tracer.record(0.1, "anything", "actor")
-    assert len(tracer) == 0
+    obs = ObsContext(enabled=False)
+    obs.record(0.1, "anything", "actor")
+    assert obs.events() == []
 
 
-def test_tracer_capacity_limit():
-    tracer = Tracer(capacity=2)
+def test_tracer_capacity_limit(monkeypatch):
+    monkeypatch.setattr(obs_context, "DEFAULT_TRACE_CAPACITY", 2)
+    obs = ObsContext(enabled=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for index in range(5):
-            tracer.record(index, "cat", "actor")
-    assert len(tracer) == 2
+            obs.record(index, "cat", "actor")
+    assert [event["time"] for event in obs.events()] == [0, 1]
 
 
-def test_tracer_counts_drops_and_warns_once():
-    tracer = Tracer(capacity=2)
-    assert tracer.dropped == 0
-    tracer.record(0.0, "cat", "actor")
-    tracer.record(0.1, "cat", "actor")
+def test_tracer_counts_drops_and_warns_once(monkeypatch):
+    monkeypatch.setattr(obs_context, "DEFAULT_TRACE_CAPACITY", 2)
+    obs = ObsContext(enabled=True)
+    assert obs.trace_dropped == 0
+    obs.record(0.0, "cat", "actor")
+    obs.record(0.1, "cat", "actor")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tracer.record(0.2, "cat", "actor")
-        tracer.record(0.3, "cat", "actor")
-    assert tracer.dropped == 2
-    assert len(tracer) == 2  # keep-first-N semantics unchanged
+        obs.record(0.2, "cat", "actor")
+        obs.record(0.3, "cat", "actor")
+    assert obs.trace_dropped == 2
+    assert len(obs.events()) == 2  # keep-first-N semantics unchanged
     runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(runtime_warnings) == 1  # warned exactly once, on the first drop
     assert "trace capacity" in str(runtime_warnings[0].message)
+    assert obs.finalize(1.0)["trace"]["dropped"] == 2
