@@ -175,9 +175,12 @@ def run(spec: RunSpec, store=None) -> SimulationResult:
         extra_runner_kwargs=direct_kwargs,
         tracer_enabled=spec.tracer_enabled,
     )
-    result = deployment.run(
-        duration=float(resolved["duration"]), warmup=float(resolved["warmup"])
-    )
+    try:
+        result = deployment.run(
+            duration=float(resolved["duration"]), warmup=float(resolved["warmup"])
+        )
+    finally:
+        deployment.close()
     if store is not None and digest is not None:
         from repro.sweep.serialization import result_to_dict
 

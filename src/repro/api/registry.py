@@ -3,7 +3,8 @@
 Every system variant of the paper's evaluation (``serverless_bft``,
 ``serverless_cft``, ``pbft_replicated``, ``noshim``) registers a
 :class:`SystemAdapter` here: a builder callable returning a deployment
-object with ``.run(duration, warmup) -> SimulationResult``, plus the set of
+object with ``.run(duration, warmup) -> SimulationResult`` and ``.close()``
+(called by the owner once the result is collected), plus the set of
 *capabilities* the system supports (which fault knobs it accepts, whether
 the consensus engine is selectable, whether it has execution threads).
 

@@ -142,6 +142,13 @@ class ReplicatedNode(SimProcess):
     def store(self) -> VersionedKVStore:
         return self._store
 
+    def close(self) -> None:
+        """Drop the queued executions and what the replica holds of this
+        node (see :meth:`repro.core.shim_node.ShimNode.close`)."""
+        super().close()
+        self._execution_pool.close()
+        self._replica.close()
+
     # ------------------------------------------------------------------ messages
 
     def on_message(self, message, sender: str) -> None:
@@ -308,6 +315,14 @@ class PBFTReplicatedSimulation:
                 client_index_offset=index * group_size,
             )
             self.clients.append(group)
+
+    def close(self) -> None:
+        """Release the deployment once its result is collected (see
+        :meth:`repro.core.runner.ServerlessBFTSimulation.close`)."""
+        self.sim.close()
+        self.network.close()
+        for node in self.nodes:
+            node.close()
 
     def run(self, duration: float = 5.0, warmup: float = 0.5) -> SimulationResult:
         if duration <= 0:

@@ -130,7 +130,10 @@ def simulate_point(
     # counter activity is reported without clobbering whatever the process
     # accumulated before (back-to-back points each see only their own work).
     perf_baseline = PERF.snapshot()
-    result = simulation.run(duration=duration, warmup=warmup)
+    try:
+        result = simulation.run(duration=duration, warmup=warmup)
+    finally:
+        simulation.close()
     if report_perf:
         delta = PERF.delta_since(perf_baseline)
         fast = delta.get("events_scheduled_fast", 0)

@@ -199,6 +199,14 @@ class ServerlessCloud:
             next_launch()
         return handle
 
+    def close(self) -> None:
+        """Drop the executor factory (bound to the deployment, which holds
+        this cloud) and the launches still waiting for a slot (closures
+        over this cloud)."""
+        self._factory = None
+        for state in self._regions.values():
+            state.queue.clear()
+
     # ------------------------------------------------------------------ internals
 
     def _occupy_and_launch(self, state: _RegionState, launch: Callable[[], None]) -> None:

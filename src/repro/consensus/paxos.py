@@ -114,6 +114,11 @@ class PaxosReplica:
     def log(self) -> ConsensusLog:
         return self._log
 
+    def close(self) -> None:
+        """Drop the host, transport and callback: each points back at the
+        node that owns this replica."""
+        self._host = self._transport = self._on_committed = None
+
     def propose(self, batch: Any) -> int:
         """Leader only: choose the next slot and replicate the batch."""
         if not self.is_leader:

@@ -188,6 +188,12 @@ class PBFTReplica:
     def is_primary(self) -> bool:
         return self.primary == self._id
 
+    def close(self) -> None:
+        """Drop the host, transport and callbacks: each points back at the
+        node that owns this replica."""
+        self._host = self._transport = None
+        self._on_committed = self._on_view_installed = None
+
     # ------------------------------------------------------------------ proposing
 
     def propose(self, batch: Any) -> int:

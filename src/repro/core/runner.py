@@ -192,7 +192,7 @@ class ServerlessBFTSimulation:
                 verifier_name="verifier",
                 consensus_engine=consensus_engine,
                 behaviour=node_behaviours.get(name),
-                    obs=component_obs,
+                obs=component_obs,
             )
             self.nodes.append(node)
 
@@ -213,14 +213,17 @@ class ServerlessBFTSimulation:
                 verifier_name="verifier",
                 client_timeout=config.client_timeout,
                 latency_recorder=self.latency,
-                    obs=component_obs,
+                obs=component_obs,
                 client_index_offset=index * group_size,
             )
             self.clients.append(group)
 
         # Keep clients pointed at the current primary across view changes.
+        # The listeners are the groups' own methods, not the deployment's,
+        # so the nodes never reach back to the deployment.
         for node in self.nodes:
-            node.add_primary_change_listener(self._on_primary_change)
+            for group in self.clients:
+                node.add_primary_change_listener(group.update_primary)
 
         # --- fault timeline ----------------------------------------------------------
         # Built only when configured: a fault-free run constructs no engine,
@@ -243,10 +246,6 @@ class ServerlessBFTSimulation:
     def _make_signer(self, owner: str) -> SignatureService:
         """A signature service bound to the deployment's crypto backend."""
         return SignatureService(self.keystore, owner, backend=self.crypto_backend)
-
-    def _on_primary_change(self, primary: str) -> None:
-        for group in self.clients:
-            group.update_primary(primary)
 
     def _spawn_executor(self, executor_id: str, region: str, spawner: str, payload) -> None:
         """Factory handed to the serverless cloud: build and invoke one executor."""
@@ -294,6 +293,22 @@ class ServerlessBFTSimulation:
         self.sim.run(until=duration)
         wall_clock = time.perf_counter() - started  # lint: ignore[DET001] host timing
         return self._collect(duration, warmup, wall_clock)
+
+    def close(self) -> None:
+        """Release the deployment once its result is collected.
+
+        Breaks the reference cycles between the simulator, the network and
+        the components, so reference counting frees the whole deployment
+        as soon as its owner drops it; nothing is left for the cyclic
+        collector.  :meth:`run` does not close: callers may inspect the
+        deployment after a run.  A closed deployment cannot run again.
+        """
+        self.sim.close()
+        self.network.close()
+        self.cloud.close()
+        for node in self.nodes:
+            node.close()
+        self.verifier.close()
 
     def _collect(self, duration: float, warmup: float, wall_clock: float = 0.0) -> SimulationResult:
         window = max(1e-9, duration - warmup)

@@ -194,6 +194,12 @@ class ShimNode(SimProcess):
     def add_primary_change_listener(self, listener: Callable[[str], None]) -> None:
         self._primary_change_listeners.append(listener)
 
+    def close(self) -> None:
+        """Take back what the replica holds of this node: its host,
+        transport and callbacks."""
+        super().close()
+        self._replica.close()
+
     # ------------------------------------------------------------------ lifecycle
 
     @property

@@ -260,17 +260,18 @@ class FaultTimelineEngine:
     ``config.fault_timeline`` is non-empty.  Resolves node selectors against
     the deployment, schedules one simulator event per fault event (no
     polling, no RNG draws), and aggregates recovery metrics at collection
-    time.
+    time.  It keeps the nodes it acts on but not the deployment, which
+    holds the engine: the two never form a reference cycle.
     """
 
     def __init__(self, runner, events: Optional[List[FaultEvent]] = None) -> None:
-        self._runner = runner
         self._sim = runner.sim
         self._network = runner.network
         if events is None:
             events = parse_timeline(runner.config.fault_timeline)
         self._events = events
         self._nodes: Dict[str, object] = {node.name: node for node in runner.nodes}
+        self._client_names = [group.name for group in runner.clients]
         self.watchdog = LivenessWatchdog()
         self._crashes = 0
         self._recoveries = 0
@@ -280,7 +281,7 @@ class FaultTimelineEngine:
     # -------------------------------------------------------------- selectors
 
     def _resolve_node(self, selector: str) -> str:
-        names = [node.name for node in self._runner.nodes]
+        names = list(self._nodes)
         if selector == "primary":
             return names[0]
         if selector == "last":
@@ -351,10 +352,10 @@ class FaultTimelineEngine:
         return pairs
 
     def _static_endpoints(self) -> List[str]:
-        names = [node.name for node in self._runner.nodes]
+        names = list(self._nodes)
         names.append("verifier")
         names.append("storage")
-        names.extend(group.name for group in self._runner.clients)
+        names.extend(self._client_names)
         return names
 
     # -------------------------------------------------------------- actions
@@ -397,7 +398,7 @@ class FaultTimelineEngine:
         checkpoints_sent = 0
         checkpoints_adopted = 0
         stable_seq = 0
-        for node in self._runner.nodes:
+        for node in self._nodes.values():
             replica = node.replica
             checkpoints_sent += getattr(replica, "checkpoints_sent", 0)
             checkpoints_adopted += getattr(replica, "checkpoints_adopted", 0)

@@ -53,7 +53,10 @@ def calibration_ratio(
     simulation = build_system(
         "serverless_bft", config, workload, tracer_enabled=False
     )
-    result = simulation.run(duration=duration, warmup=warmup)
+    try:
+        result = simulation.run(duration=duration, warmup=warmup)
+    finally:
+        simulation.close()
     model = AnalyticalModel(config, workload, system=SystemKind.SERVERLESS_BFT)
     modelled_throughput, modelled_latency = model.throughput_latency(config.num_clients)
     return CalibrationResult(

@@ -283,11 +283,10 @@ class Simulator:
         # The event loop allocates millions of small, mostly-immutable,
         # acyclic objects per simulated second (messages, results, heap
         # entries); cyclic-GC passes over them find nothing yet cost ~25% of
-        # the loop.  Reference counting reclaims the garbage either way, so
-        # suspend the cyclic collector for the duration of the run and let
-        # the normal threshold-driven collector catch any cycles afterwards
-        # (no forced collection — see the finally block).  Virtual-time
-        # behaviour is unaffected.
+        # the loop.  Reference counting reclaims the garbage either way (a
+        # run creates no cyclic garbage of its own), so suspend the cyclic
+        # collector for the duration of the run.  Virtual-time behaviour is
+        # unaffected.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -336,13 +335,15 @@ class Simulator:
             if gc_was_enabled:
                 # No forced collection — and no *immediate* threshold-driven
                 # one either: the run left the allocation counters sky-high,
-                # so the first allocation after enable() would trigger a full
-                # pass over everything the run retained (~0.5s on the default
-                # point).  Freezing parks those survivors in the permanent
-                # generation and resets the counters; unfreezing right after
-                # returns them to the oldest generation, so they are still
-                # collected at the *next natural* gen-2 collection instead of
-                # right now.  Skipped when the embedding process froze
+                # so the first allocation after enable() would trigger a
+                # young-generation pass over everything the run retained,
+                # which is the live state of a deployment its caller may
+                # still hold.  Freezing parks those survivors in the
+                # permanent generation and resets the counters; unfreezing
+                # right after returns them to the oldest generation.  They
+                # are not garbage: the deployment's close() breaks its
+                # cycles, and reference counting frees them when the owner
+                # drops it.  Skipped when the embedding process froze
                 # objects of its own (unfreeze would release those too).
                 if gc.get_freeze_count() == 0:
                     gc.freeze()
@@ -355,3 +356,23 @@ class Simulator:
     def run_until_idle(self, max_events: Optional[int] = None) -> float:
         """Run until no events remain (or ``max_events`` were executed)."""
         return self.run(until=None, max_events=max_events)
+
+    def close(self) -> None:
+        """Drop every pending event so nothing left in the queue keeps a
+        component alive.
+
+        A pending entry holds a bound callback, and the component behind it
+        usually holds the simulator and the entry's own :class:`Event`
+        handle: a reference cycle.  Each entry is nulled in place, exactly
+        as :meth:`Event.cancel` does, so a handle that outlives the queue no
+        longer reaches its callback.  The simulator cannot run afterwards.
+        """
+        pending = self._queue
+        if self._slot is not None:
+            pending.append(self._slot)
+        for entry in pending:
+            entry[_CB] = None
+            entry[4] = ()
+        self._queue = []
+        self._slot = None
+        self._cancelled = 0

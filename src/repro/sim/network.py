@@ -173,6 +173,16 @@ class Network:
     def unregister(self, name: str) -> None:
         self._endpoints.pop(name, None)
 
+    def close(self) -> None:
+        """Detach every endpoint and the fault plan.
+
+        Each endpoint's handler is bound to a component that holds this
+        network, and a bound fault plan (see ``RegionOutageFaultPlan.bind``)
+        holds it too; dropping both leaves no cycle through the network.
+        """
+        self._endpoints.clear()
+        self._faults = None
+
     def has_endpoint(self, name: str) -> bool:
         return name in self._endpoints
 

@@ -125,6 +125,11 @@ class CpuResource:
             self._busy -= 1
         on_done(*args)
 
+    def close(self) -> None:
+        """Drop the queued jobs: their callbacks are bound to this
+        resource's owner, which holds the resource."""
+        self._pending.clear()
+
 
 class SimProcess:
     """Base class for every simulated actor (client, node, executor, verifier).
@@ -209,6 +214,15 @@ class SimProcess:
             return
         usable = max(1, min(self._cpu.cores, parallelism))
         self._cpu.submit(total_time / usable, on_done, *args)
+
+    def close(self) -> None:
+        """Break the process's own reference cycles once its run is over.
+
+        Subclasses that hand bound methods of themselves to other objects
+        extend this to take them back.
+        """
+        if self._cpu is not None:
+            self._cpu.close()
 
     def on_message(self, message: Any, sender: str) -> None:  # pragma: no cover - interface
         """Handle a delivered network message.  Subclasses override."""

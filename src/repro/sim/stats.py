@@ -112,14 +112,21 @@ class LatencyRecorder:
         if not ordered:
             return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         count = len(ordered)
+        # Interpolation ``a*(1-w) + b*w`` is not monotone in ``w`` in floating
+        # point, so two percentiles between the same neighbours can come out
+        # in the wrong order by one ulp.  Taking the running maximum keeps
+        # them ordered and leaves already-ordered values bit-identical.
+        p50 = _percentile(ordered, 0.50)
+        p95 = max(_percentile(ordered, 0.95), p50)
+        p99 = max(_percentile(ordered, 0.99), p95)
         return LatencySummary(
             count=count,
             # Summed over the sorted list (not the streaming accumulator) so
             # the mean is bit-identical to the pre-optimisation full re-sort.
             mean=sum(ordered) / count,
-            p50=_percentile(ordered, 0.50),
-            p95=_percentile(ordered, 0.95),
-            p99=_percentile(ordered, 0.99),
+            p50=p50,
+            p95=p95,
+            p99=p99,
             minimum=self._min,
             maximum=self._max,
         )

@@ -111,10 +111,13 @@ def _timed_simulate(
     started = time.perf_counter()
     simulation = build_simulation(resolved, tracer_enabled=tracer_enabled)
     setup_seconds = time.perf_counter() - started  # lint: ignore[DET001] host timing
-    result = simulation.run(
-        duration=float(resolved["duration"]),  # type: ignore[arg-type]
-        warmup=float(resolved["warmup"]),  # type: ignore[arg-type]
-    )
+    try:
+        result = simulation.run(
+            duration=float(resolved["duration"]),  # type: ignore[arg-type]
+            warmup=float(resolved["warmup"]),  # type: ignore[arg-type]
+        )
+    finally:
+        simulation.close()
     result_dict = result_to_dict(result)
     total = time.perf_counter() - started  # lint: ignore[DET001] host timing
     simulate_seconds = result.wall_clock_seconds
